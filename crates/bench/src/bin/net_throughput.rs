@@ -22,7 +22,7 @@ use setlearn_serve::{
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Queries per frame (and per `submit_many` call): large enough that one
 /// round-trip amortizes over a whole micro-batch, the regime the wire
@@ -88,7 +88,6 @@ fn main() {
         ServeConfig {
             threads: 2,
             max_batch: 128,
-            max_delay: Duration::from_micros(200),
             queue_capacity: requests.len(),
         },
     ));

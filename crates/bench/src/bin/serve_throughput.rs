@@ -30,7 +30,7 @@ use setlearn_bench::report::Table;
 use setlearn_data::{ElementSet, GeneratorConfig, SubsetIndex};
 use setlearn_serve::{CardinalityTask, HotSwap, ServeConfig, ServeRuntime, ShardedRuntime};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const BATCHED: usize = 128;
@@ -44,7 +44,6 @@ fn run(slot: &Arc<HotSwap<CardinalityTask>>, requests: &[ElementSet], threads: u
         ServeConfig {
             threads,
             max_batch,
-            max_delay: Duration::from_micros(200),
             // Sized for the whole workload: this measures service throughput,
             // not admission control.
             queue_capacity: requests.len(),
@@ -82,7 +81,6 @@ fn run_sharded(model: &ShardedCardinality, requests: &[ElementSet], threads: usi
         ServeConfig {
             threads,
             max_batch: BATCHED,
-            max_delay: Duration::from_micros(200),
             queue_capacity: requests.len(),
         },
         aggregate_cardinality,

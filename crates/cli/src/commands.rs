@@ -1109,8 +1109,8 @@ fn serve_listen_registry(args: &Args, cfg: ServeConfig) -> Result<(), CliError> 
 
 /// `setlearn serve --listen HOST:PORT …` — the TCP front-end over the same
 /// runtimes the replay path uses. Remote clients reach the bounded queue,
-/// adaptive micro-batching, and typed shedding through the `SLP1` protocol;
-/// the serve loop runs until `--serve-for-s` elapses or (with
+/// work-conserving micro-batching, and typed shedding through the `SLP1`
+/// protocol; the serve loop runs until `--serve-for-s` elapses or (with
 /// `--allow-remote-shutdown`) a client requests a drain.
 fn serve_listen(
     args: &Args,
@@ -1408,7 +1408,7 @@ fn serve_listen_mutable(
 }
 
 /// `setlearn serve --task cardinality|index|bloom --root DIR --collection NAME
-///  [--requests N] [--threads N] [--max-batch N] [--max-delay-us U] [--queue N]
+///  [--requests N] [--threads N] [--max-batch N] [--queue N]
 ///  [--target-qps Q] [--max-subset K] [--shards N] [--shard-by hash|range]
 ///  [--listen HOST:PORT] [--serve-for-s S] [--addr-file PATH]
 ///  [--allow-remote-shutdown] [--telemetry PATH]`
@@ -1419,7 +1419,8 @@ fn serve_listen_mutable(
 /// Loads a trained model, enumerates a subset-query workload from the
 /// collection (cycled up to `--requests`), and replays it through the
 /// concurrent [`ServeRuntime`]: a bounded admission queue, a worker pool
-/// with adaptive micro-batching, and load shedding when the queue is full.
+/// that serves whatever is queued (up to `--max-batch`) without waiting for
+/// a batch to fill, and load shedding when the queue is full.
 /// `--target-qps` paces submissions open-loop; 0 (the default) submits as
 /// fast as possible. With `--telemetry`, queue-depth, batch-size, and
 /// queue-wait metrics land in the run artifact.
@@ -1431,7 +1432,7 @@ fn serve_listen_mutable(
 pub fn serve(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
         "task", "model", "collection", "root", "requests", "threads", "max-batch",
-        "max-delay-us", "queue", "target-qps", "max-subset", "shards", "shard-by",
+        "queue", "target-qps", "max-subset", "shards", "shard-by",
         "telemetry", "listen", "serve-for-s", "addr-file", "allow-remote-shutdown",
         "wal-dir", "compact-after", "slow-query-ms", "drain-grace-ms", "precision",
         // Registry (multi-tenant) mode.
@@ -1444,7 +1445,6 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     let cfg = ServeConfig {
         threads: args.get_or("threads", 2usize)?,
         max_batch: args.get_or("max-batch", 64usize)?,
-        max_delay: std::time::Duration::from_micros(args.get_or("max-delay-us", 200u64)?),
         queue_capacity: args.get_or("queue", 1024usize)?,
     };
     cfg.validate().map_err(|e| CliError::from(ArgError(e)))?;
@@ -2126,9 +2126,11 @@ COMMANDS:
             (--query 1,2,3 | [--limit N] [--max-subset K] [--threads N])
             [--shards N] [--shard-by hash|range] [--telemetry PATH]
   serve     --task cardinality|index|bloom --root DIR --collection NAME
-            [--requests N] [--threads N] [--max-batch N] [--max-delay-us U]
-            [--queue N] [--target-qps Q] [--max-subset K] [--shards N]
+            [--requests N] [--threads N] [--max-batch N] [--queue N]
+            [--target-qps Q] [--max-subset K] [--shards N]
             [--shard-by hash|range] [--telemetry PATH]
+            (workers serve whatever is queued, up to --max-batch,
+            without waiting for a batch to fill)
             | --listen HOST:PORT [--serve-for-s S] [--addr-file PATH]
             [--allow-remote-shutdown]     (SLP1 TCP front-end; port 0 works)
             [--slow-query-ms N] [--drain-grace-ms N] [--compact-after N]

@@ -23,8 +23,9 @@
 //! `SLW1` files (the revision-1 payload with no version or checksum) still
 //! load and report [`Precision::F32`].
 //!
-//! Saves are atomic: bytes are written to a sibling `*.tmp` file, synced, and
-//! renamed over the destination, so a crash mid-save can never leave a
+//! Saves are atomic: bytes are written to a uniquely named sibling `*.tmp`
+//! file, synced, and renamed over the destination, and the directory is
+//! synced after the rename, so a crash mid-save can never leave a
 //! half-written model at the target path.
 
 use crate::kernel::Precision;
@@ -34,6 +35,7 @@ use serde::Serialize;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Persistence errors.
 #[derive(Debug)]
@@ -116,15 +118,20 @@ pub fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Writes `bytes` to `path` atomically: the data lands in a sibling temp
-/// file, is flushed and fsynced, then renamed over the destination. Readers
-/// observe either the old file or the complete new one, never a partial
-/// write. Public so other sinks (e.g. telemetry artifacts) share the same
-/// crash-safe write path as model files.
+/// file, is flushed and fsynced, then renamed over the destination, and the
+/// parent directory is fsynced so the rename itself survives a crash.
+/// Readers observe either the old file or the complete new one, never a
+/// partial write. Each call uses its own temp name (pid plus a process-wide
+/// counter), so concurrent writers of one path never share a temp file; the
+/// last rename wins. Public so other sinks (e.g. telemetry artifacts) share
+/// the same crash-safe write path as model files.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
+    let result = (|| -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
@@ -135,7 +142,19 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    result
+    result?;
+    let parent = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fsync_dir(parent)?;
+    Ok(())
+}
+
+/// Fsyncs a directory so entry creations, renames and removals survive a
+/// crash.
+pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 // ---------------------------------------------------------------------------
@@ -647,6 +666,44 @@ mod tests {
         assert_eq!(inspect_collection(&root, "tenant-b").unwrap(), found[1]);
         assert!(inspect_collection(&root, "../escape").is_err());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_never_tear_or_leak_temp_files() {
+        let dir = tmp("atomic-race");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.bin");
+        // Each writer's payload is its id repeated, long enough that a torn
+        // or interleaved write could not pass for either writer's bytes.
+        let payload = |writer: u8, round: u32| {
+            let mut bytes = vec![writer; 4096];
+            bytes.extend_from_slice(&round.to_le_bytes());
+            bytes
+        };
+        std::thread::scope(|scope| {
+            for writer in [1u8, 2] {
+                let path = &path;
+                scope.spawn(move || {
+                    for round in 0..100u32 {
+                        write_atomic(path, &payload(writer, round)).unwrap();
+                        let read = std::fs::read(path).unwrap();
+                        assert_eq!(read.len(), 4100, "short read");
+                        let (id, tail) = read.split_at(4096);
+                        assert!(id.iter().all(|&b| b == id[0]), "torn write");
+                        let round = u32::from_le_bytes(tail.try_into().unwrap());
+                        assert_eq!(read, payload(id[0], round), "mixed payload");
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

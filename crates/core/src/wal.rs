@@ -51,7 +51,7 @@
 //! segments are deleted, and the damage is reported through telemetry —
 //! never a panic, never a startup failure.
 
-use crate::persist::{crc32, write_atomic, PersistError};
+use crate::persist::{crc32, fsync_dir, write_atomic, PersistError};
 use crate::telemetry::wal_tele;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -240,11 +240,6 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
 fn segment_id(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     name.strip_prefix("seg-")?.strip_suffix(".wal")?.parse().ok()
-}
-
-/// Fsyncs a directory so entry creations/removals survive a crash.
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()
 }
 
 fn encode_manifest(applied_seq: u64) -> Vec<u8> {

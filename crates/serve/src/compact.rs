@@ -1,10 +1,9 @@
 //! Background WAL compaction: a daemon thread that watches a
 //! [`MutableCollection`]'s pending delta and, once it crosses a size or age
 //! threshold, retrains on the merged collection, folds the delta into a new
-//! checkpoint, and publishes through the runtime's [`HotSwap`] slot — the
-//! ingest-side counterpart of the drift-refresh daemon in
-//! [`crate::refresh`], sharing its scheduler shape (interruptible
-//! condvar-timed polling, stop-on-drop handle).
+//! checkpoint, and publishes through the runtime's [`HotSwap`] slot. It is
+//! the crate's one background maintenance loop: interruptible condvar-timed
+//! polling and a stop-on-drop handle.
 //!
 //! The daemon holds no lock while retraining: mutations and queries keep
 //! flowing, land above the compaction watermark, and survive the swap in

@@ -1,8 +1,8 @@
 //! Zero-downtime model hot-swap.
 //!
 //! [`HotSwap<T>`] holds the currently published model behind an
-//! atomically-bumped version counter. Writers (the refresh daemon) serialize
-//! through a mutex and publish a fully-built replacement; readers (serve
+//! atomically-bumped version counter. Writers (the compactor, manual swaps)
+//! serialize through a mutex and publish a fully-built replacement; readers (serve
 //! workers) keep a [`Cached`] snapshot and, on every batch, check a single
 //! atomic version load — only when the version moved do they touch the mutex
 //! to refresh their `Arc`. In steady state (no swap in flight) the reader

@@ -1,20 +1,21 @@
 //! # setlearn-serve
 //!
 //! Concurrent serving runtime for the learned set structures in
-//! [`setlearn`]: keeps a model resident and shared across threads, amortizes
-//! inference with adaptive micro-batching, refreshes models with zero
-//! downtime, and sheds load instead of buffering without bound.
+//! [`setlearn`]: keeps a model resident and shared across threads, batches
+//! whatever requests are queued without waiting for a batch to fill,
+//! publishes new models with zero downtime, and sheds load instead of
+//! buffering without bound.
 //!
 //! ## Architecture
 //!
 //! ```text
 //!  clients ──submit──▶ BoundedQueue ──pop──▶ worker pool (N threads)
-//!              │            │                  │  collect ≤ max_batch or
-//!    queue full│            │queue_depth       │  wait ≤ max_delay
-//!   Overloaded ▼            ▼gauge             ▼
+//!              │            │                  │  head + drain of what is
+//!    queue full│            │queue_depth       │  queued (≤ max_batch),
+//!   Overloaded ▼            ▼gauge             ▼  never waits
 //!      (shed, typed)                 HotSwap<T>::refresh ─▶ serve_batch
 //!                                        ▲                     │
-//!   DriftMonitor ──signal──▶ refresh daemon (retrain+publish)  ▼
+//!   WAL delta ──threshold──▶ compactor (retrain+publish)       ▼
 //!                                                     Ticket::wait (client)
 //! ```
 //!
@@ -22,10 +23,10 @@
 //!   with [`ServeError::Overloaded`] when full (backpressure).
 //! * [`hotswap::HotSwap`] — mutex-guarded writer, atomically published
 //!   `Arc` snapshots for readers; a swap never tears or stalls a batch.
-//! * [`runtime::ServeRuntime`] — the worker pool with adaptive
+//! * [`runtime::ServeRuntime`] — the worker pool with work-conserving
 //!   micro-batching and graceful drain on shutdown.
-//! * [`refresh`] — background daemon turning [`setlearn::DriftMonitor`]
-//!   retrain signals into retrain-and-publish cycles.
+//! * [`compact`] — the background maintenance loop: folds a mutable
+//!   collection's WAL delta into a retrained model and publishes it.
 //! * [`task`] — the [`ServeTask`] trait plus the generic [`StructureTask`]
 //!   adapter over any `setlearn::tasks::LearnedSetStructure` (serve-guard
 //!   fallbacks included).
@@ -42,7 +43,6 @@ pub mod hotswap;
 pub mod net;
 pub mod proto;
 pub mod queue;
-pub mod refresh;
 pub mod registry;
 pub mod request;
 pub mod runtime;
@@ -58,7 +58,6 @@ pub use proto::{
 };
 pub use hotswap::{Cached, HotSwap};
 pub use queue::BoundedQueue;
-pub use refresh::{spawn_refresh, Rebuilt, RefreshConfig, RefreshHandle};
 pub use registry::{
     AdminError, CollectionRegistry, QuotaConfig, RegistryConfig, ResolveError, Resident,
 };
@@ -122,8 +121,6 @@ const _: () = {
     assert_send_sync::<Resident>();
     // Tracing contexts shared between connection handlers and workers.
     assert_send_sync::<RequestCtx>();
-    // The monitor shared between serve observers and the refresh daemon.
-    assert_send_sync::<std::sync::Mutex<setlearn::DriftMonitor>>();
 };
 
 #[cfg(test)]

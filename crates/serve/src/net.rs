@@ -1,8 +1,8 @@
 //! TCP front-end for the serving runtime: remote clients speak the `SLP1`
 //! wire protocol (see [`crate::proto`]) and get the same admission paths —
-//! bounded-queue backpressure, adaptive micro-batching, typed shedding, and
-//! [`setlearn::tasks::QueryOutcome`] degradation flags — as in-process
-//! callers, without linking the crate.
+//! bounded-queue backpressure, work-conserving micro-batching, typed
+//! shedding, and [`setlearn::tasks::QueryOutcome`] degradation flags — as
+//! in-process callers, without linking the crate.
 //!
 //! Everything is std-only: a nonblocking [`TcpListener`] accept loop polling
 //! a shutdown flag, plus one handler thread per connection. A handler reads
@@ -845,8 +845,12 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
             }
             KIND_SHUTDOWN => {
                 if config.allow_remote_shutdown {
-                    // Ack first, then raise the flag: the requester gets its
-                    // answer before the drain starts closing things.
+                    // Draining only turns health *not ready*, so it is
+                    // raised before the ack: no probe sees the server ready
+                    // once the requester has its answer. The shutdown flag
+                    // waits for the ack, so the requester gets its answer
+                    // before the drain starts closing things.
+                    shared.draining.store(true, Ordering::SeqCst);
                     let ok = write_response_to(
                         &mut stream,
                         &frame,
@@ -854,7 +858,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<ServerShared>) {
                         &encode_response_batch(&[]),
                         tele,
                     );
-                    shared.draining.store(true, Ordering::SeqCst);
                     if config.drain_grace.is_zero() {
                         shutdown.store(true, Ordering::SeqCst);
                     } else {

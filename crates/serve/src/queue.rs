@@ -2,13 +2,13 @@
 //!
 //! A `Mutex<VecDeque>` + `Condvar` pair: producers never block (a full queue
 //! sheds the push — admission control happens at the door, not by buffering
-//! without bound), consumers block until an item, the batching deadline, or
-//! shutdown. The lock is held only for O(1) push/pop, so contention stays
-//! proportional to request rate, not to serving time.
+//! without bound), consumers block until an item or shutdown, then drain the
+//! rest of their batch without blocking. The lock is held only for O(1)
+//! push/pop, so contention stays proportional to request rate, not to
+//! serving time.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -24,8 +24,6 @@ pub enum PushError<T> {
 pub enum Pop<T> {
     /// An item was dequeued.
     Item(T),
-    /// The deadline passed with no item available.
-    TimedOut,
     /// The queue is closed and fully drained — the consumer should exit.
     Drained,
 }
@@ -89,34 +87,6 @@ impl<T> BoundedQueue<T> {
                 return Pop::Drained;
             }
             inner = self.not_empty.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Blocks until an item is available, `deadline` passes, or the queue is
-    /// closed and drained. Used by workers to top a batch up: once the first
-    /// request of a batch is in hand, the worker is only willing to wait
-    /// until the batching deadline for more.
-    pub fn pop_until(&self, deadline: Instant) -> Pop<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Pop::Item(item);
-            }
-            if inner.closed {
-                return Pop::Drained;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::TimedOut;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                return if inner.closed { Pop::Drained } else { Pop::TimedOut };
-            }
         }
     }
 
@@ -254,13 +224,6 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.drain_into(&mut out, 10), 0);
         assert_eq!(q.drain_into(&mut out, 0), 0);
-    }
-
-    #[test]
-    fn pop_until_times_out() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(matches!(q.pop_until(deadline), Pop::TimedOut));
     }
 
     #[test]

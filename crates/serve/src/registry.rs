@@ -795,7 +795,6 @@ mod tests {
         ServeConfig {
             threads: 1,
             max_batch: 8,
-            max_delay: Duration::from_micros(50),
             queue_capacity: 64,
         }
     }

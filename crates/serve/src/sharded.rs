@@ -289,7 +289,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     /// Adds a per-shard offset; aggregation sums, so N shards over offset
     /// base B answer r·N + B·N(N−1)/2 — easy to verify exactly.
@@ -307,7 +306,6 @@ mod tests {
         ServeConfig {
             threads: 2,
             max_batch: 8,
-            max_delay: Duration::from_micros(100),
             queue_capacity: 256,
         }
     }

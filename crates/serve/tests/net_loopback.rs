@@ -75,7 +75,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig {
         threads: 2,
         max_batch: 16,
-        max_delay: Duration::from_micros(100),
         queue_capacity: 256,
     }
 }
@@ -163,7 +162,7 @@ fn task_mismatch_is_typed_and_the_connection_survives() {
 fn overload_shed_round_trips_as_typed_per_query_errors() {
     let runtime = Arc::new(ServeRuntime::start(
         StructureTask::new(SlowCard),
-        ServeConfig { threads: 1, max_batch: 1, queue_capacity: 1, ..serve_config() },
+        ServeConfig { threads: 1, max_batch: 1, queue_capacity: 1 },
     ));
     let backend: Arc<dyn WireBackend> = Arc::clone(&runtime) as _;
     let server = NetServer::bind("127.0.0.1:0", backend, NetConfig::default()).unwrap();

@@ -6,7 +6,6 @@
 use setlearn_serve::{ServeConfig, ServeError, ServeTask, ShardedRuntime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SHARDS: u64 = 3;
 const ROUNDS: u64 = 50;
@@ -78,7 +77,6 @@ fn rolling_swaps_under_load_lose_nothing() {
         ServeConfig {
             threads: 3,
             max_batch: 16,
-            max_delay: Duration::from_micros(100),
             queue_capacity: 4096,
         },
         |parts: Vec<(u64, u64)>| {
@@ -172,7 +170,6 @@ fn single_shard_swap_is_isolated() {
         ServeConfig {
             threads: 3,
             max_batch: 8,
-            max_delay: Duration::from_micros(100),
             queue_capacity: 1024,
         },
         |parts: Vec<(u64, u64)>| {
