@@ -14,7 +14,7 @@ use crate::model::{DeepSets, DeepSetsConfig};
 use crate::tasks::{LearnedSetStructure, QueryOutcome};
 use serde::{Deserialize, Serialize};
 use setlearn_baselines::{set_hash, BPlusTree};
-use setlearn_data::{is_subset, ElementSet, SetCollection, SubsetIndex};
+use setlearn_data::{ElementSet, SetCollection, SubsetIndex, SupersetProbe};
 use setlearn_nn::{Loss, LogMinMaxScaler, TrainPolicy, TrainReport};
 use std::sync::Arc;
 
@@ -63,8 +63,9 @@ impl IndexConfig {
 pub struct LookupProfile {
     /// First matching position, if found.
     pub position: Option<usize>,
-    /// Number of collection sets examined during the local scan (0 when the
-    /// auxiliary structure answered).
+    /// Window rows passed over by the local scan, up to and including the
+    /// hit (the whole window on a miss; 0 when the auxiliary structure
+    /// answered). Rows the signature check rejects count too.
     pub scanned: usize,
     /// Whether the auxiliary structure answered.
     pub from_aux: bool,
@@ -285,36 +286,8 @@ impl LearnedSetIndex {
             };
         }
         let (lo, hi, fallback) = self.scan_window(collection, self.scaler.unscale(score));
-        let mut scanned = 0;
-        // First-occurrence queries scan the window upward; last-occurrence
-        // queries downward. In both directions the first match is the true
-        // endpoint whenever it lies inside the window (nothing beyond the
-        // endpoint matches, by definition).
-        let mut probe = |i: usize| -> Option<LookupProfile> {
-            scanned += 1;
-            if is_subset(q, collection.get(i)) {
-                Some(LookupProfile { position: Some(i), scanned, from_aux: false, fallback })
-            } else {
-                None
-            }
-        };
-        match self.target {
-            PositionTarget::First => {
-                for i in lo..=hi {
-                    if let Some(hit) = probe(i) {
-                        return hit;
-                    }
-                }
-            }
-            PositionTarget::Last => {
-                for i in (lo..=hi).rev() {
-                    if let Some(hit) = probe(i) {
-                        return hit;
-                    }
-                }
-            }
-        }
-        LookupProfile { position: None, scanned, from_aux: false, fallback }
+        let (position, scanned) = scan_rows(collection.superset_probe(q), lo, hi, self.target);
+        LookupProfile { position, scanned, from_aux: false, fallback }
     }
 
     /// Maps pre-computed batch scores through the scan tail, recording batch
@@ -440,6 +413,31 @@ impl LearnedSetIndex {
     }
 }
 
+/// The last mile of Algorithm 2: the row in `[lo, hi]` nearest the
+/// target's end of the window whose set contains the probe's query, plus
+/// the number of window rows passed over to find it (the whole window on a
+/// miss). First-occurrence queries scan upward, last-occurrence queries
+/// downward; in both directions the first match is the true endpoint
+/// whenever it lies inside the window (nothing beyond the endpoint
+/// matches, by definition).
+fn scan_rows(
+    probe: SupersetProbe<'_>,
+    lo: usize,
+    hi: usize,
+    target: PositionTarget,
+) -> (Option<usize>, usize) {
+    let found = match target {
+        PositionTarget::First => (lo..=hi).find(|&i| probe.matches(i)),
+        PositionTarget::Last => (lo..=hi).rev().find(|&i| probe.matches(i)),
+    };
+    let scanned = match (found, target) {
+        (Some(i), PositionTarget::First) => i - lo + 1,
+        (Some(i), PositionTarget::Last) => hi - i + 1,
+        (None, _) => (hi + 1).saturating_sub(lo),
+    };
+    (found, scanned)
+}
+
 fn outcome_from_profile(p: LookupProfile) -> QueryOutcome<Option<usize>> {
     QueryOutcome {
         value: p.position,
@@ -500,7 +498,99 @@ impl LearnedSetStructure for IndexStructure {
 mod tests {
     use super::*;
     use crate::model::CompressionKind;
-    use setlearn_data::GeneratorConfig;
+    use proptest::prelude::*;
+    use setlearn_data::collection::signature;
+    use setlearn_data::{is_subset, normalize, GeneratorConfig};
+
+    /// Maps a small pool index onto a large, sparse id: rows share elements
+    /// often, and distinct ids still collide on signature bits.
+    fn large_id(k: u32) -> u32 {
+        u32::MAX - 1 - k.wrapping_mul(104_729)
+    }
+
+    /// The unfiltered reference for [`scan_rows`]: the exact subset test on
+    /// every row of the same window, in the same direction.
+    fn reference_scan(
+        c: &SetCollection,
+        q: &[u32],
+        lo: usize,
+        hi: usize,
+        target: PositionTarget,
+    ) -> (Option<usize>, usize) {
+        let rows: Vec<usize> = match target {
+            PositionTarget::First => (lo..=hi).collect(),
+            PositionTarget::Last => (lo..=hi).rev().collect(),
+        };
+        for (n, &i) in rows.iter().enumerate() {
+            if is_subset(q, c.get(i)) {
+                return (Some(i), n + 1);
+            }
+        }
+        (None, rows.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The signature-filtered last mile returns the same row and the same
+        /// `scanned` count as the unfiltered scan, for both targets, on
+        /// collections with duplicate rows and ids near `u32::MAX`.
+        #[test]
+        fn filtered_scan_matches_the_unfiltered_reference(
+            raw in proptest::collection::vec(proptest::collection::vec(0u32..24, 1..7), 1..40),
+            dups in proptest::collection::vec((0usize..64, 0usize..64), 0..16),
+            raw_q in proptest::collection::vec(0u32..24, 1..4),
+            lo in 0usize..64,
+            width in 0usize..64,
+        ) {
+            let mut rows: Vec<Vec<u32>> =
+                raw.iter().map(|r| r.iter().map(|&k| large_id(k)).collect()).collect();
+            for &(from, to) in &dups {
+                let copy = rows[from % rows.len()].clone();
+                let at = to % (rows.len() + 1);
+                rows.insert(at, copy);
+            }
+            let c = SetCollection::new(rows, u32::MAX);
+            let q = normalize(raw_q.iter().map(|&k| large_id(k)).collect());
+            let lo = lo % c.len();
+            let hi = (lo + width).min(c.len() - 1);
+            for target in [PositionTarget::First, PositionTarget::Last] {
+                prop_assert_eq!(
+                    scan_rows(c.superset_probe(&q), lo, hi, target),
+                    reference_scan(&c, &q, lo, hi, target)
+                );
+            }
+            let whole = reference_scan(&c, &q, 0, c.len() - 1, PositionTarget::First);
+            prop_assert_eq!(c.first_position(&q), whole.0);
+            let count = c.sets().iter().filter(|s| is_subset(&q, s)).count() as u64;
+            prop_assert_eq!(c.cardinality(&q), count);
+        }
+    }
+
+    #[test]
+    fn signature_false_positives_are_rechecked_exactly() {
+        // Two distinct ids that set the same signature bit.
+        let a = 0u32;
+        let b = (1..).find(|&e| signature(&[e]) == signature(&[a])).unwrap();
+        let c = SetCollection::new(vec![vec![a], vec![b], vec![a]], b + 1);
+        // Every row passes the signature check of {b} (and of {a, b}), but
+        // only row 1 contains b and no row contains both.
+        for row in 0..c.len() {
+            assert_eq!(signature(c.get(row)) & signature(&[b]), signature(&[b]));
+        }
+        let cases = [
+            (vec![b], PositionTarget::First, (Some(1), 2)),
+            (vec![b], PositionTarget::Last, (Some(1), 2)),
+            (vec![a], PositionTarget::Last, (Some(2), 1)),
+            (vec![a, b], PositionTarget::First, (None, 3)),
+        ];
+        for (q, target, want) in cases {
+            assert_eq!(scan_rows(c.superset_probe(&q), 0, 2, target), want, "{q:?} {target:?}");
+            assert_eq!(reference_scan(&c, &q, 0, 2, target), want, "{q:?} {target:?}");
+        }
+        assert_eq!(c.cardinality(&[b]), 1);
+        assert_eq!(c.first_position(&[b]), Some(1));
+    }
 
     fn quick_cfg(vocab: u32, compression: CompressionKind) -> IndexConfig {
         let mut model = DeepSetsConfig::lsm(vocab);

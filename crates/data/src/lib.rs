@@ -22,7 +22,7 @@ pub mod subsets;
 pub mod workload;
 pub mod zipf;
 
-pub use collection::{CollectionStats, SetCollection};
+pub use collection::{CollectionError, CollectionStats, SetCollection, SupersetProbe};
 pub use dictionary::Dictionary;
 pub use generators::{Dataset, GeneratorConfig};
 pub use set::{is_subset, normalize, ElementSet};

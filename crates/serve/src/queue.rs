@@ -10,15 +10,6 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue is at capacity; the item is handed back to the caller.
-    Full(T),
-    /// The queue is closed (runtime draining); the item is handed back.
-    Closed(T),
-}
-
 /// Outcome of a blocking pop.
 #[derive(Debug)]
 pub enum Pop<T> {
@@ -59,22 +50,6 @@ impl<T> BoundedQueue<T> {
         self.capacity
     }
 
-    /// Non-blocking push: a full or closed queue refuses the item and hands
-    /// it back, so the caller can surface a typed shed error.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed {
-            return Err(PushError::Closed(item));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocks until an item is available or the queue is closed *and*
     /// drained. Used by workers to fetch the head of a new batch.
     pub fn pop_blocking(&self) -> Pop<T> {
@@ -90,8 +65,9 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Pushes as many of `items` as free capacity allows under one lock
-    /// acquisition (the producer-side mirror of [`BoundedQueue::drain_into`]).
+    /// Non-blocking admission: pushes as many of `items` as free capacity
+    /// allows under one lock acquisition (the producer-side mirror of
+    /// [`BoundedQueue::drain_into`]); producers never block.
     /// Returns `(admitted, closed)`: the number of items actually enqueued
     /// (a prefix of `items`, FIFO order preserved) and whether the queue was
     /// closed (in which case nothing is enqueued). Items beyond capacity are
@@ -131,7 +107,7 @@ impl<T> BoundedQueue<T> {
         take
     }
 
-    /// Closes the queue: future pushes fail with [`PushError::Closed`];
+    /// Closes the queue: future pushes are refused (`closed` is reported);
     /// already-buffered items remain poppable (graceful drain). Wakes every
     /// blocked consumer.
     pub fn close(&self) {
@@ -166,33 +142,28 @@ mod tests {
     #[test]
     fn push_pop_fifo() {
         let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
+        assert_eq!(q.try_push_many(vec![1, 2]), (2, false));
         assert_eq!(q.len(), 2);
         assert!(matches!(q.pop_blocking(), Pop::Item(1)));
         assert!(matches!(q.pop_blocking(), Pop::Item(2)));
     }
 
     #[test]
-    fn full_queue_sheds_and_returns_the_item() {
+    fn full_queue_sheds_until_a_pop_frees_a_slot() {
         let q = BoundedQueue::new(2);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
-        match q.try_push("c") {
-            Err(PushError::Full(item)) => assert_eq!(item, "c"),
-            other => panic!("expected Full, got {other:?}"),
-        }
+        assert_eq!(q.try_push_many(vec!["a", "b"]), (2, false));
+        assert_eq!(q.try_push_many(vec!["c"]), (0, false));
         // Popping frees a slot.
         assert!(matches!(q.pop_blocking(), Pop::Item("a")));
-        q.try_push("c").unwrap();
+        assert_eq!(q.try_push_many(vec!["c"]), (1, false));
     }
 
     #[test]
     fn closed_queue_refuses_pushes_but_drains() {
         let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
+        assert_eq!(q.try_push_many(vec![1]), (1, false));
         q.close();
-        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
+        assert_eq!(q.try_push_many(vec![2]), (0, true));
         assert!(matches!(q.pop_blocking(), Pop::Item(1)));
         assert!(matches!(q.pop_blocking(), Pop::Drained));
     }
@@ -200,7 +171,7 @@ mod tests {
     #[test]
     fn try_push_many_admits_a_prefix_and_sheds_the_rest() {
         let q = BoundedQueue::new(3);
-        q.try_push(0).unwrap();
+        assert_eq!(q.try_push_many(vec![0]), (1, false));
         let (admitted, closed) = q.try_push_many(vec![1, 2, 3, 4]);
         assert_eq!((admitted, closed), (2, false));
         for want in 0..3 {
@@ -214,9 +185,7 @@ mod tests {
     #[test]
     fn drain_into_takes_at_most_max_in_fifo_order() {
         let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
+        assert_eq!(q.try_push_many((0..5).collect()), (5, false));
         let mut out = Vec::new();
         assert_eq!(q.drain_into(&mut out, 3), 3);
         assert_eq!(out, vec![0, 1, 2]);
@@ -235,7 +204,7 @@ mod tests {
             other => panic!("expected item, got {other:?}"),
         });
         std::thread::sleep(Duration::from_millis(20));
-        q.try_push(42u32).unwrap();
+        assert_eq!(q.try_push_many(vec![42u32]), (1, false));
         assert_eq!(h.join().unwrap(), 42);
     }
 

@@ -931,6 +931,58 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_collection_is_refused_at_load_not_served() {
+        let root = tmpdir("malformed");
+        let sets = small_collection(11);
+        let mut cfg = IndexConfig::new(DeepSetsConfig::lsm(sets.num_elements()));
+        cfg.guided.warmup_epochs = 1;
+        cfg.guided.rounds = 0;
+        cfg.max_subset_size = 2;
+        let (index, _) = LearnedSetIndex::build(&sets, &cfg);
+        let dir = root.join("idx");
+        save_manifest(
+            &dir,
+            &CollectionManifest { task: "index".into(), shards: None, shard_by: None },
+        )
+        .unwrap();
+        persist::save_json(&index, &dir.join(COLLECTION_MODEL)).unwrap();
+        persist::save_json(&sets, &dir.join(COLLECTION_SETS)).unwrap();
+        let registry = |root: &Path| {
+            let mut config = RegistryConfig::new(root);
+            config.serve = quick_serve();
+            CollectionRegistry::new(config)
+        };
+        assert!(registry(&root).resolve(Some("idx")).is_ok(), "the intact tenant loads");
+
+        // The same rows with row 0 stored in descending order: the
+        // sorted-merge subset test would silently miss its supersets.
+        let rows: Vec<String> = sets
+            .iter()
+            .map(|(i, s)| {
+                let mut ids = s.to_vec();
+                if i == 0 {
+                    ids.reverse();
+                }
+                format!("{ids:?}")
+            })
+            .collect();
+        let json = format!(
+            "{{\"sets\":[{}],\"num_elements\":{}}}",
+            rows.join(","),
+            sets.num_elements()
+        );
+        std::fs::write(dir.join(COLLECTION_SETS), json).unwrap();
+        match registry(&root).resolve(Some("idx")) {
+            Err(ResolveError::Failed(name, why)) => {
+                assert_eq!(name, "idx");
+                assert!(why.contains("set 0 is not sorted"), "{why}");
+            }
+            other => panic!("expected a load refusal, got {:?}", other.map(|_| ())),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn list_sees_cold_collections_without_loading_them() {
         let root = tmpdir("list");
         write_cardinality(&root, "a", 3);

@@ -33,13 +33,13 @@
 
 use crate::error::ServeError;
 use crate::hotswap::HotSwap;
-use crate::queue::{BoundedQueue, Pop, PushError};
+use crate::queue::{BoundedQueue, Pop};
 use crate::request::RequestCtx;
 use crate::task::ServeTask;
 use crate::telemetry::RuntimeTele;
 use setlearn_obs::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,52 +82,89 @@ impl ServeConfig {
     }
 }
 
-/// Minimal oneshot rendezvous: a mutex-guarded slot plus a condvar, one
-/// allocation per request (the `Arc`). On the submit/respond hot path this
-/// is measurably cheaper than an `mpsc` channel pair — the per-request
-/// dispatch cost is exactly what micro-batching exists to amortize, so the
-/// runtime keeps its own floor low too.
-struct OneshotSlot<R> {
-    value: Mutex<Option<Result<R, ServeError>>>,
-    ready: Condvar,
+/// The completion of one submitted frame — one
+/// [`ServeRuntime::submit_many_traced`] call, or one
+/// [`ServeRuntime::submit`]: one shared allocation holding every request's
+/// result slot and a count of the slots still empty. Workers fill slots
+/// (a whole batch's run of one frame under one lock), and waiters are woken
+/// once, when the count reaches zero. A per-request rendezvous would instead
+/// pay one allocation and, on every fill, one futex wake syscall — 256 per
+/// 256-query frame — and wake the connection thread several times per
+/// frame.
+struct Frame<R> {
+    state: Mutex<FrameState<R>>,
+    done: Condvar,
 }
 
-impl<R> OneshotSlot<R> {
-    fn new() -> Arc<Self> {
-        Arc::new(OneshotSlot { value: Mutex::new(None), ready: Condvar::new() })
+struct FrameState<R> {
+    slots: Vec<Option<Result<R, ServeError>>>,
+    /// Slots not yet filled.
+    pending: usize,
+}
+
+impl<R> Frame<R> {
+    fn new(len: usize) -> Arc<Self> {
+        let slots = std::iter::repeat_with(|| None).take(len).collect();
+        let state = Mutex::new(FrameState { slots, pending: len });
+        Arc::new(Frame { state, done: Condvar::new() })
     }
 
-    /// First fill wins; later fills (e.g. the responder's drop guard after a
-    /// successful send raced with nothing — defensive only) are ignored.
-    fn fill(&self, result: Result<R, ServeError>) {
-        let mut guard = self.value.lock().unwrap_or_else(|p| p.into_inner());
-        if guard.is_none() {
-            *guard = Some(result);
-            drop(guard);
-            self.ready.notify_one();
+    fn lock(&self) -> MutexGuard<'_, FrameState<R>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Wakes the waiters if `filled` slots just brought `pending` to zero.
+    fn finish(&self, mut state: MutexGuard<'_, FrameState<R>>, filled: usize) {
+        state.pending -= filled;
+        let complete = state.pending == 0;
+        drop(state);
+        if complete {
+            self.done.notify_all();
         }
     }
 }
 
-/// The worker-side half of a [`Ticket`]'s oneshot. If a worker dies before
-/// answering (envelope dropped mid-flight), the drop guard fills
-/// [`ServeError::WorkerLost`] so the waiting client never hangs.
+/// The worker-side claim on one slot of a [`Frame`]. Every responder fills
+/// its slot exactly once: by [`Responder::send_all`], or — if the envelope
+/// is dropped unanswered (a worker died mid-batch, or admission shed it) —
+/// by the drop guard with [`ServeError::WorkerLost`], so the frame always
+/// completes and no waiter hangs.
 struct Responder<R> {
-    slot: Option<Arc<OneshotSlot<R>>>,
+    frame: Option<Arc<Frame<R>>>,
+    index: usize,
 }
 
 impl<R> Responder<R> {
-    fn send(mut self, result: Result<R, ServeError>) {
-        if let Some(slot) = self.slot.take() {
-            slot.fill(result);
+    /// Answers a batch in order. Consecutive responders of one frame fill
+    /// under a single lock, and each frame's waiters are woken at most once.
+    fn send_all(
+        responders: Vec<Responder<R>>,
+        results: impl IntoIterator<Item = Result<R, ServeError>>,
+    ) {
+        let mut pairs = responders.into_iter().zip(results).peekable();
+        while let Some((mut responder, result)) = pairs.next() {
+            let Some(frame) = responder.frame.take() else { continue };
+            let mut state = frame.lock();
+            state.slots[responder.index] = Some(result);
+            let mut filled = 1;
+            while let Some((mut next, result)) = pairs.next_if(|(next, _)| {
+                next.frame.as_ref().is_some_and(|f| Arc::ptr_eq(f, &frame))
+            }) {
+                next.frame = None;
+                state.slots[next.index] = Some(result);
+                filled += 1;
+            }
+            frame.finish(state, filled);
         }
     }
 }
 
 impl<R> Drop for Responder<R> {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            slot.fill(Err(ServeError::WorkerLost));
+        if let Some(frame) = self.frame.take() {
+            let mut state = frame.lock();
+            state.slots[self.index] = Some(Err(ServeError::WorkerLost));
+            frame.finish(state, 1);
         }
     }
 }
@@ -143,37 +180,35 @@ struct Envelope<T: ServeTask> {
 
 /// Handle to one in-flight request; redeem it with [`Ticket::wait`].
 pub struct Ticket<R> {
-    slot: Arc<OneshotSlot<R>>,
+    frame: Arc<Frame<R>>,
+    index: usize,
 }
 
 impl<R> std::fmt::Debug for Ticket<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ticket").finish_non_exhaustive()
+        f.debug_struct("Ticket").field("index", &self.index).finish_non_exhaustive()
     }
 }
 
 impl<R> Ticket<R> {
-    /// Blocks until the runtime answers (or fails) this request.
+    /// Blocks until the runtime answers (or fails) this request. Returns
+    /// at once if the answer is already in; otherwise sleeps until the
+    /// request's whole frame is answered.
     pub fn wait(self) -> Result<R, ServeError> {
-        let mut guard = self.slot.value.lock().unwrap_or_else(|p| p.into_inner());
+        let mut state = self.frame.lock();
         loop {
-            if let Some(result) = guard.take() {
+            if let Some(result) = state.slots[self.index].take() {
                 return result;
             }
-            guard = self.slot.ready.wait(guard).unwrap_or_else(|p| p.into_inner());
+            state = self.frame.done.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 
     /// Non-blocking poll; returns the ticket back while the answer is
     /// pending.
     pub fn try_wait(self) -> Result<Result<R, ServeError>, Ticket<R>> {
-        {
-            let mut guard = self.slot.value.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(result) = guard.take() {
-                return Ok(result);
-            }
-        }
-        Err(self)
+        let taken = self.frame.lock().slots[self.index].take();
+        taken.ok_or(self)
     }
 }
 
@@ -337,21 +372,8 @@ impl<T: ServeTask> ServeRuntime<T> {
     /// Sheds with [`ServeError::Overloaded`] when the queue is full and
     /// [`ServeError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, request: T::Request) -> Result<Ticket<T::Response>, ServeError> {
-        let slot = OneshotSlot::new();
-        let responder = Responder { slot: Some(Arc::clone(&slot)) };
-        let envelope = Envelope { request, enqueued: Instant::now(), responder, ctx: None };
-        match self.queue.try_push(envelope) {
-            Ok(()) => {
-                self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { slot })
-            }
-            Err(PushError::Full(_)) => {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.tele.record_shed();
-                Err(ServeError::Overloaded)
-            }
-            Err(PushError::Closed(_)) => Err(ServeError::ShuttingDown),
-        }
+        let mut outcomes = self.submit_many_traced(std::iter::once((request, None)));
+        outcomes.pop().expect("one outcome per request")
     }
 
     /// Bulk admission: enqueues the whole slice of requests under a single
@@ -383,23 +405,25 @@ impl<T: ServeTask> ServeRuntime<T> {
         I: IntoIterator<Item = (T::Request, Option<Arc<RequestCtx>>)>,
     {
         let enqueued = Instant::now();
-        let mut slots = Vec::new();
+        let requests: Vec<_> = requests.into_iter().collect();
+        let frame = Frame::new(requests.len());
         let envelopes: Vec<Envelope<T>> = requests
             .into_iter()
-            .map(|(request, ctx)| {
-                let slot = OneshotSlot::new();
-                slots.push(Arc::clone(&slot));
-                Envelope { request, enqueued, responder: Responder { slot: Some(slot) }, ctx }
+            .enumerate()
+            .map(|(index, (request, ctx))| {
+                let responder = Responder { frame: Some(Arc::clone(&frame)), index };
+                Envelope { request, enqueued, responder, ctx }
             })
             .collect();
+        let len = envelopes.len();
+        // Envelopes the queue refuses are dropped inside `try_push_many`;
+        // their responders fill `WorkerLost`, so the frame still completes.
         let (admitted, closed) = self.queue.try_push_many(envelopes);
         self.stats.submitted.fetch_add(admitted as u64, Ordering::Relaxed);
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                if i < admitted {
-                    Ok(Ticket { slot })
+        (0..len)
+            .map(|index| {
+                if index < admitted {
+                    Ok(Ticket { frame: Arc::clone(&frame), index })
                 } else if closed {
                     Err(ServeError::ShuttingDown)
                 } else {
@@ -537,25 +561,21 @@ fn worker_loop<T: ServeTask>(
             Ok(responses) if responses.len() == requests.len() => {
                 stats.completed.fetch_add(responses.len() as u64, Ordering::Relaxed);
                 tele.record_batch(responses.len(), queue.len(), &waits, batch_wait, duration, version);
-                for (responder, response) in responders.into_iter().zip(responses) {
-                    // A caller that dropped its ticket is not an error.
-                    responder.send(Ok(response));
-                }
+                // A caller that dropped its ticket is not an error.
+                Responder::send_all(responders, responses.into_iter().map(Ok));
             }
             Ok(responses) => {
                 // Length contract violated: fail the batch loudly but keep
                 // serving. (Counted like a panic — both are task bugs.)
                 debug_assert_eq!(responses.len(), requests.len(), "serve_batch length contract");
                 stats.panicked_batches.fetch_add(1, Ordering::Relaxed);
-                for responder in responders {
-                    responder.send(Err(ServeError::TaskPanicked));
-                }
+                let failed = std::iter::repeat_with(|| Err(ServeError::TaskPanicked));
+                Responder::send_all(responders, failed);
             }
             Err(_) => {
                 stats.panicked_batches.fetch_add(1, Ordering::Relaxed);
-                for responder in responders {
-                    responder.send(Err(ServeError::TaskPanicked));
-                }
+                let failed = std::iter::repeat_with(|| Err(ServeError::TaskPanicked));
+                Responder::send_all(responders, failed);
             }
         }
     }
@@ -617,27 +637,36 @@ mod tests {
     fn submit_many_admits_in_order_and_sheds_the_overflow() {
         // One slow-to-start worker, tiny queue: the overflow is deterministic
         // because nothing can drain between admission and the length check.
-        let runtime = ServeRuntime::start(
-            Doubler,
-            ServeConfig { threads: 1, queue_capacity: 4, ..quick_config() },
-        );
-        let outcomes = runtime.submit_many(0..10u64);
-        assert_eq!(outcomes.len(), 10);
-        let admitted = outcomes.iter().filter(|o| o.is_ok()).count();
-        let shed = outcomes.iter().filter(|o| o.is_err()).count();
-        // Admission is one atomic lock acquisition against an empty queue of
-        // capacity 4: exactly the first 4 requests get in.
-        assert_eq!(admitted, 4);
-        assert_eq!(shed, 6);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Ok(ticket) => assert_eq!(ticket.wait().unwrap(), i as u64 * 2),
-                Err(e) => assert_eq!(e, ServeError::Overloaded),
+        // The second frame sheds a one-request tail and is redeemed last
+        // ticket first: the shed slot must still count towards the frame's
+        // completion, or that wait would hang.
+        for (requests, reversed) in [(10u64, false), (5, true)] {
+            let runtime = ServeRuntime::start(
+                Doubler,
+                ServeConfig { threads: 1, queue_capacity: 4, ..quick_config() },
+            );
+            let outcomes = runtime.submit_many(0..requests);
+            assert_eq!(outcomes.len(), requests as usize);
+            let admitted = outcomes.iter().filter(|o| o.is_ok()).count();
+            let shed = outcomes.iter().filter(|o| o.is_err()).count();
+            // Admission is one atomic lock acquisition against an empty queue
+            // of capacity 4: exactly the first 4 requests get in.
+            assert_eq!(admitted, 4);
+            assert_eq!(shed, requests as usize - 4);
+            let mut outcomes: Vec<_> = outcomes.into_iter().enumerate().collect();
+            if reversed {
+                outcomes.reverse();
             }
+            for (i, outcome) in outcomes {
+                match outcome {
+                    Ok(ticket) => assert_eq!(ticket.wait().unwrap(), i as u64 * 2),
+                    Err(e) => assert_eq!(e, ServeError::Overloaded),
+                }
+            }
+            let report = runtime.shutdown();
+            assert_eq!(report.shed, shed as u64);
+            assert_eq!(report.submitted + report.shed, requests);
         }
-        let report = runtime.shutdown();
-        assert_eq!(report.shed, shed as u64);
-        assert_eq!(report.submitted + report.shed, 10);
     }
 
     #[test]
@@ -689,6 +718,55 @@ mod tests {
         let report = runtime.shutdown();
         assert_eq!(report.panicked_batches, 1);
         assert_eq!(report.completed, 1);
+    }
+
+    /// Records every batch it serves; panics on a batch holding request 13.
+    struct Recording(Arc<Mutex<Vec<Vec<u64>>>>);
+    impl ServeTask for Recording {
+        type Request = u64;
+        type Response = u64;
+        const NAME: &'static str = "test_recording";
+        fn serve_batch(&self, requests: &[u64]) -> Vec<u64> {
+            self.0.lock().unwrap().push(requests.to_vec());
+            assert!(!requests.contains(&13), "unlucky batch");
+            requests.to_vec()
+        }
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_only_its_own_slots_of_the_frame() {
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let runtime = ServeRuntime::start(
+            Recording(Arc::clone(&batches)),
+            ServeConfig { threads: 2, max_batch: 4, queue_capacity: 64 },
+        );
+        // One 12-request frame served as at least 3 batches of at most 4;
+        // request 13 sits in the middle of the frame.
+        let frame: Vec<u64> = (8..20).collect();
+        let tickets: Vec<_> =
+            runtime.submit_many(frame.clone()).into_iter().map(Result::unwrap).collect();
+        // Redeem on another thread so a frame that never completes fails the
+        // test instead of hanging it.
+        let (done, results) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let answers: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+            let _ = done.send(answers);
+        });
+        let answers =
+            results.recv_timeout(Duration::from_secs(30)).expect("every ticket resolves");
+        let batches = batches.lock().unwrap().clone();
+        assert!(batches.len() >= 3, "batches: {batches:?}");
+        let poisoned = batches.iter().find(|b| b.contains(&13)).expect("13 was served");
+        for (request, answer) in frame.iter().zip(answers) {
+            if poisoned.contains(request) {
+                assert_eq!(answer, Err(ServeError::TaskPanicked), "request {request}");
+            } else {
+                assert_eq!(answer, Ok(*request), "request {request}");
+            }
+        }
+        let report = runtime.shutdown();
+        assert_eq!(report.panicked_batches, 1);
+        assert_eq!(report.completed, (frame.len() - poisoned.len()) as u64);
     }
 
     #[test]
